@@ -101,11 +101,6 @@ class ObsOptions:
         run's lane in a larger correlated trace; stamped into the trace
         file's meta record so offline tools can parent the run under its
         job/sweep span and align it on the wall clock.
-    per_write_spans:
-        With ``trace_out`` set, emit one span per write (full-fidelity
-        traces; forces the serial write loop).  The job service sets this
-        False so traced runs keep the chunked fast path with one span per
-        chunk.
     """
 
     metrics_out: str | None = None
@@ -113,7 +108,6 @@ class ObsOptions:
     sample_interval: int = 0
     series_out: str | None = None
     trace_context: TraceContext | None = None
-    per_write_spans: bool = True
 
     @property
     def any(self) -> bool:
@@ -186,8 +180,8 @@ class Session:
         """The run's observability bundle from session state.
 
         Returns ``(instruments, metrics, tracer, phases)``; all ``None``
-        when nothing would observe the run, so the runner takes its
-        uninstrumented fast path.  With the ledger on, a metrics registry
+        when nothing would observe the run, so the runner times and
+        records nothing.  With the ledger on, a metrics registry
         and a phase-accumulating tracer are always live: the manifest needs
         per-phase wall times and summary counters even when no output path
         was given.
@@ -231,21 +225,13 @@ class Session:
         )
         if metrics is not None:
             # Per-phase write-path attribution rides on timestamps the
-            # chunked loop already takes; cheap enough to keep on for any
+            # write loop already takes; cheap enough to keep on for any
             # recorded run.
             instruments.profile = PhaseProfile()
         if metrics is not None:
             instruments.metrics = metrics
         if tracer is not None:
             instruments.tracer = tracer
-            # Write-granular spans only when a trace file was asked for
-            # (and the caller did not opt into chunk-level spans); the
-            # ledger's phase totals aggregate identically from the chunked
-            # loop's one-span-per-chunk stream, so ledger-only runs keep
-            # the batched fast path.
-            instruments.per_write_spans = (
-                bool(obs.trace_out) and obs.per_write_spans
-            )
         return instruments, metrics, tracer, phases
 
     # -- checkpoint plumbing -------------------------------------------------

@@ -863,9 +863,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=SimConfig("mcf", "deuce").chunk_size,
         metavar="N",
-        help="writes handed to the scheme's batched write path at once "
-        "(1 forces the per-write loop; results are bit-identical at any "
-        "value)",
+        help="writes handed to the scheme's write_batch at once (1 runs "
+        "the write() reference: one install() per line, one write() per "
+        "write; results are bit-identical at any value)",
     )
     p_run.add_argument(
         "--metrics-out",
@@ -875,8 +875,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--trace-out",
         metavar="PATH",
-        help="stream pipeline spans/events (scheme.write, pad.fetch, "
-        "pcm.apply, epoch resets, ...) as JSONL",
+        help="stream pipeline spans (install, then per chunk "
+        "scheme.write, pad.fetch, pcm.apply, ...) as JSONL",
     )
     p_run.add_argument(
         "--sample-interval",
@@ -947,8 +947,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=SimConfig("mcf", "deuce").chunk_size,
         metavar="N",
-        help="batched write-path chunk size for every cell (1 forces the "
-        "per-write loop; results are bit-identical at any value)",
+        help="write_batch chunk size for every cell (1 runs the write() "
+        "reference; results are bit-identical at any value)",
     )
     p_sweep.add_argument(
         "--workers",

@@ -4,9 +4,9 @@ One :class:`Instruments` object carries every backend a run might report
 into: a metrics registry, a tracer, the sampling interval, and an optional
 heartbeat callback (used by the parallel sweep engine to stream per-cell
 progress).  The default instance is fully disabled — every backend null —
-and :attr:`Instruments.enabled` is False, which the runner uses to take the
-uninstrumented fast path so a disabled run is bit-identical to, and as fast
-as, one with no observability code at all.
+and :attr:`Instruments.enabled` is False, which the runner uses to skip
+every timer, span and sample, so a disabled run is bit-identical to, and as
+fast as, one with no observability code at all.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.obs.tracing import NULL_TRACER, NullTracer, Tracer
 class RunAborted(RuntimeError):
     """A run stopped cooperatively because its abort check fired.
 
-    Raised by the instrumented write loop when ``Instruments.abort``
+    Raised by the runner's write loop when ``Instruments.abort``
     returns True (job cancellation, deadline exceeded).  ``writes_done``
     records how far the run got.
     """
@@ -60,16 +60,11 @@ class Instruments:
         cancellation for the job service and sweep engine.
     abort_every:
         Writes between abort polls; ``0`` auto-sizes (~every 512 writes).
-    per_write_spans:
-        When tracing is live, emit one span per write (full-fidelity JSONL
-        traces).  Set False when the trace sink only aggregates per-phase
-        totals (the run ledger's default), which frees the runner to execute
-        chunked with one span per chunk under the same span names.
     profile:
         Optional :class:`~repro.obs.profile.PhaseProfile` the runner
         accumulates per-phase time into (pad precompute, batch diff,
         scatter-add accumulate, checkpoint, trace-gen).  Reuses timestamps
-        the chunked loop already takes, so enabling it costs ~two dict ops
+        the write loop already takes, so enabling it costs ~two dict ops
         per chunk phase and never changes simulation state.
     """
 
@@ -80,7 +75,6 @@ class Instruments:
     heartbeat_every: int = 0
     abort: Callable[[], bool] | None = None
     abort_every: int = 0
-    per_write_spans: bool = True
     profile: PhaseProfile | None = None
 
     @property
@@ -104,7 +98,7 @@ class InstrumentedPadSource:
     """Pad-source wrapper timing every pad fetch.
 
     Wraps the scheme's (possibly cached) pad source when instrumentation is
-    enabled, so per-write tracing can attribute time to pad generation —
+    enabled, so tracing can attribute time to pad generation —
     the phase that regressions in the write path most often hide in.
     Records a ``pad.fetch`` timer and counter into the metrics registry and,
     when tracing is on, one ``pad.fetch`` span per fetch.

@@ -3,15 +3,14 @@
 A *span* is a named operation with a start time and a duration; an *event*
 is an instant.  The runner emits spans for the pipeline phases (trace
 generation, install, the write loop) and — when tracing is on — for each
-write's sub-steps (``scheme.write``, ``pad.fetch``, ``wear.rotation``,
-``pcm.apply``), plus instant events for notable scheme behaviour (epoch
-resets, DynDEUCE mode switches).
+chunk of writes' sub-steps (``scheme.write``, ``wear.rotation``,
+``pcm.apply``, with ``pad.fetch`` spans from inside them).
 
 Every record is one JSON object per line (JSONL), so traces stream to disk
 as they happen and load with one ``json.loads`` per line:
 
-``{"type": "span", "name": "scheme.write", "ts": 1.23, "dur": 2.1e-05,
-"write": 17, "addr": 4096}``
+``{"type": "span", "name": "scheme.write", "ts": 1.23, "dur": 0.0041,
+"write": 512, "n": 512}``
 
 ``type`` is ``"span"``, ``"event"`` or ``"meta"``; ``ts`` is a
 ``time.perf_counter`` timestamp (monotonic within one process); ``dur``

@@ -89,6 +89,17 @@ class WriteOutcome:
         return self.data_flips + self.metadata_flips
 
 
+def _row_bytes(data) -> tuple[bytes, int]:
+    """An ``(n, width)`` uint8 array as one bytes object plus the width.
+
+    Slicing one ``bytes`` per row is several times cheaper than a numpy
+    row view plus ``tobytes()``; the generic batch loops below run once
+    per line or write.
+    """
+    rows = np.ascontiguousarray(data, dtype=np.uint8)
+    return rows.tobytes(), rows.shape[1]
+
+
 class WriteScheme(ABC):
     """A memory write policy (encryption and/or flip reduction).
 
@@ -119,10 +130,10 @@ class WriteScheme(ABC):
     #: first constructor argument.
     requires_pads: ClassVar[bool] = True
 
-    #: Whether :meth:`write_batch` is a genuinely vectorized implementation.
-    #: The chunked runner only batches schemes that set this; for the rest
-    #: the generic per-write fallback below exists for tests and tooling but
-    #: is slower than the serial loop.
+    #: Whether the scheme overrides :meth:`write_batch` with a native
+    #: vectorized kernel.  It picks no code path: the runner calls
+    #: ``write_batch`` for every scheme, and the rest inherit the loop over
+    #: :meth:`write` below.  Benchmarks read it to tell the two apart.
     supports_write_batch: ClassVar[bool] = False
 
     def __init__(self, line_bytes: int = 64) -> None:
@@ -174,8 +185,9 @@ class WriteScheme(ABC):
         state — and the pad cache's LRU order and hit/miss statistics —
         is bit-identical to ``n`` sequential installs.
         """
-        for i in range(len(addresses)):
-            self.install(int(addresses[i]), bytes(data[i]))
+        flat, n = _row_bytes(data)
+        for i, address in enumerate(np.asarray(addresses).tolist()):
+            self.install(address, flat[i * n:(i + 1) * n])
 
     def write(self, address: int, plaintext: bytes) -> WriteOutcome:
         """Apply a writeback and report its cell-level effect."""
@@ -195,17 +207,20 @@ class WriteScheme(ABC):
 
         Parameters are ``(m,)`` int64 addresses and ``(m, line_bytes)``
         uint8 payloads, in trace order.  The default implementation loops
-        :meth:`write` and packs the outcomes; vectorized schemes override
-        it (and set :attr:`supports_write_batch`) to process the whole
-        chunk as one array program.  Either way the result is bit-identical
-        to ``m`` sequential :meth:`write` calls.
+        :meth:`write` and packs the outcomes; it is how the runner drives
+        every scheme without a native kernel, and at ``chunk_size=1`` it is
+        the ``write()`` reference for every scheme.  Vectorized schemes
+        override it (and set :attr:`supports_write_batch`) to process the
+        whole chunk as one array program.  Either way the result is
+        bit-identical to ``m`` sequential :meth:`write` calls.
         """
         from repro.schemes.batch import BatchOutcome
 
+        flat, n = _row_bytes(data)
         return BatchOutcome.from_outcomes(
             [
-                self.write(int(addresses[i]), data[i].tobytes())
-                for i in range(len(addresses))
+                self.write(address, flat[i * n:(i + 1) * n])
+                for i, address in enumerate(np.asarray(addresses).tolist())
             ]
         )
 

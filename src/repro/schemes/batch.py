@@ -92,8 +92,8 @@ class BatchOutcome:
     meta_positions / meta_rows:
         Same for metadata bits (positions relative to the metadata region).
     mode_counts:
-        Contribution to ``RunResult.mode_histogram`` (empty-mode writes
-        excluded, matching the serial loop).
+        Contribution to ``RunResult.mode_histogram`` (writes with an empty
+        ``mode`` label are not counted).
     """
 
     addresses: np.ndarray
@@ -167,14 +167,12 @@ class BatchOutcome:
         addresses = np.fromiter(
             (o.address for o in outcomes), dtype=np.int64, count=m
         )
-        data_rows = np.concatenate(
-            [np.full(o.flipped_data_positions.size, i, dtype=np.int64)
-             for i, o in enumerate(outcomes)]
-        ) if m else _EMPTY_I64
-        meta_rows = np.concatenate(
-            [np.full(o.flipped_meta_positions.size, i, dtype=np.int64)
-             for i, o in enumerate(outcomes)]
-        ) if m else _EMPTY_I64
+        data_positions, data_rows = _flatten(
+            [o.flipped_data_positions for o in outcomes]
+        )
+        meta_positions, meta_rows = _flatten(
+            [o.flipped_meta_positions for o in outcomes]
+        )
         modes = Counter(o.mode for o in outcomes if o.mode)
         return cls(
             addresses=addresses,
@@ -204,20 +202,26 @@ class BatchOutcome:
             mode_switched=np.fromiter(
                 (o.mode_switched for o in outcomes), dtype=bool, count=m
             ),
-            _data_positions=np.concatenate(
-                [o.flipped_data_positions for o in outcomes]
-            ).astype(np.int64, copy=False) if m else _EMPTY_I64,
+            _data_positions=data_positions,
             _data_rows=data_rows,
-            _meta_positions=np.concatenate(
-                [o.flipped_meta_positions for o in outcomes]
-            ).astype(np.int64, copy=False) if m else _EMPTY_I64,
+            _meta_positions=meta_positions,
             _meta_rows=meta_rows,
             mode_counts=dict(modes),
         )
 
 
+def _flatten(arrays: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated per-write position arrays and the row of each entry."""
+    if not arrays:
+        return _EMPTY_I64, _EMPTY_I64
+    sizes = np.fromiter((a.size for a in arrays), dtype=np.int64,
+                        count=len(arrays))
+    rows = np.repeat(np.arange(len(arrays), dtype=np.int64), sizes)
+    return np.concatenate(arrays).astype(np.int64, copy=False), rows
+
+
 def empty_batch() -> BatchOutcome:
-    """A zero-write batch (chunked loop edge cases)."""
+    """A zero-write batch (write-loop edge cases)."""
     return BatchOutcome(
         addresses=_EMPTY_I64,
         data_flips=_EMPTY_I64,

@@ -857,14 +857,10 @@ class JobManager:
                 run_obs = None
                 if ctx is not None:
                     traces = self.trace_dir(job.id)
-                    # per_write_spans=False keeps the chunked fast path:
-                    # the run lane gets chunk-level spans, not one span
-                    # per simulated write.
                     run_obs = replace(
                         self.session.obs,
                         trace_out=str(traces / "run.jsonl"),
                         trace_context=ctx.child(),
-                        per_write_spans=False,
                     )
                 result = self.session.run(
                     spec.configs[0],

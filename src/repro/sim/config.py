@@ -90,12 +90,14 @@ class SimConfig:
         Capacity (in cached line pads) of the LRU pad cache wrapped around
         the pad source; ``0`` disables caching.
     chunk_size:
-        Writes the runner hands to ``scheme.write_batch`` at once when the
-        scheme supports it.  ``1`` forces the serial per-write loop.
-        Results are bit-identical at any value (chunks are cut at
-        checkpoint, sampling, heartbeat, and wear-leveler boundaries, and
-        epoch resets are handled inside the batch); larger chunks amortize
-        dispatch overhead across the whole batch.
+        Writes the runner hands to ``scheme.write_batch`` at once; must be
+        at least 1.  ``1`` is the ``write()`` reference: every scheme runs
+        the base-class ``install_batch``/``write_batch``, i.e. one
+        ``install()`` per line and one ``write()`` per write.  Results are
+        bit-identical at any value (chunks are cut at checkpoint,
+        sampling, heartbeat, and wear-leveler boundaries, and epoch resets
+        are handled inside the batch); larger chunks amortize dispatch
+        overhead across the whole batch.
     workload_params:
         Per-workload parameter overrides (a KV profile's ``n_keys``,
         ``zipf_alpha``, mix weights, ...), validated against the
@@ -146,6 +148,11 @@ class SimConfig:
                     f"got {self.key!r} (not valid hex)"
                 ) from None
             object.__setattr__(self, "key", decoded)
+        if self.chunk_size < 1:
+            raise ConfigError(
+                f"config key 'chunk_size' must be at least 1, "
+                f"got {self.chunk_size!r}"
+            )
 
     def with_(self, **changes: object) -> "SimConfig":
         """A modified copy (dataclasses.replace convenience).

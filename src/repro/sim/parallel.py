@@ -272,7 +272,7 @@ def _run_cell(
     if tracer is None:
         return run(config, trace=_worker_trace(trace_spec))
     try:
-        instruments = Instruments(tracer=tracer, per_write_spans=False)
+        instruments = Instruments(tracer=tracer)
         with tracer.span(
             "cell.run",
             cell=cell_trace["cell"],
@@ -317,7 +317,6 @@ def _run_cell_observed(
         heartbeat=lambda done, total: events.put(_event(HEARTBEAT, done)),
         heartbeat_every=heartbeat_every,
         tracer=tracer if tracer is not None else NULL_TRACER,
-        per_write_spans=False,
     )
     try:
         if tracer is None:
@@ -550,7 +549,6 @@ def _run_serial(
                     tracer=(
                         cell_tracer if cell_tracer is not None else NULL_TRACER
                     ),
-                    per_write_spans=False,
                 )
             try:
                 if cell_tracer is not None:

@@ -7,15 +7,22 @@ n_writes, seed, line_bytes) so that every scheme in a comparison sees the
 *identical* writeback stream, which is what makes per-workload bars
 comparable across schemes.
 
+There is one write loop, :func:`_write_loop`: every scheme consumes the
+trace in chunks through ``write_batch``.  Schemes with a native kernel
+vectorize the chunk; the rest inherit :meth:`WriteScheme.write_batch`,
+which loops ``write()``.  ``chunk_size=1`` selects the inherited
+``install_batch``/``write_batch`` for every scheme, so each line goes
+through one ``install()`` and each write through one ``write()``: that
+run is the reference every native kernel is checked against.
+
 Observability: :func:`run` accepts an optional
 :class:`~repro.obs.instruments.Instruments` bundle.  When every backend is
-null (the default), the untouched fast write loop runs and results are
-bit-identical to uninstrumented code; when any backend is live, an
-instrumented loop additionally records per-phase timers, per-write spans
-(``scheme.write`` / ``pad.fetch`` / ``wear.rotation`` / ``pcm.apply``),
-interval samples into ``RunResult.series``, and periodic heartbeats.
-Instrumentation only ever *reads* simulation state, so both loops produce
-identical results (there is a test for this).
+null (the default), nothing is timed or recorded; when any backend is
+live, the loop additionally records per-phase timers, one span per chunk
+(``scheme.write`` / ``wear.rotation`` / ``pcm.apply``, plus ``pad.fetch``
+from the pad wrapper), interval samples into ``RunResult.series``, and
+periodic heartbeats.  Instrumentation only ever *reads* simulation state,
+so results are identical either way (there is a test for this).
 """
 
 from __future__ import annotations
@@ -24,16 +31,12 @@ import json
 import threading
 import time
 from collections import OrderedDict
+from functools import partial
 
 import numpy as np
 
 from repro.crypto.pads import CachingPadSource, make_pad_source
-from repro.memory.pcm import (
-    PcmArray,
-    slots_for_batch,
-    slots_for_batch_diffs,
-    slots_for_write,
-)
+from repro.memory.pcm import PcmArray, slots_for_batch, slots_for_batch_diffs
 from repro.schemes.batch import BatchOutcome
 from repro.obs.instruments import (
     DISABLED,
@@ -43,7 +46,7 @@ from repro.obs.instruments import (
 )
 from repro.obs.sampling import IntervalSampler
 from repro import registry
-from repro.schemes.base import WriteOutcome, WriteScheme
+from repro.schemes.base import WriteScheme
 from repro.sim.checkpoint import (
     CheckpointError,
     RunCheckpoint,
@@ -133,39 +136,14 @@ def _find_pad_cache(pads) -> CachingPadSource | None:
     return None
 
 
-def _accumulate(
-    result: RunResult, outcome: WriteOutcome, line_bits: int
-) -> int:
-    """Fold one write outcome into the running aggregates; returns slots.
-
-    Shared by the plain and instrumented write loops so the two can never
-    diverge in what they count.
-    """
-    result.total_flips += outcome.total_flips
-    result.data_flips += outcome.data_flips
-    result.meta_flips += outcome.metadata_flips
-    result.set_flips += outcome.set_flips
-    result.reset_flips += outcome.reset_flips
-    slots = slots_for_write(outcome, line_bits)
-    result.total_slots += slots
-    result.slot_histogram[slots] += 1
-    result.total_words_reencrypted += outcome.words_reencrypted
-    result.full_reencryptions += int(outcome.full_line_reencrypted)
-    result.epoch_resets += int(outcome.epoch_reset)
-    result.mode_switches += int(outcome.mode_switched)
-    if outcome.mode:
-        result.mode_histogram[outcome.mode] += 1
-    return slots
-
-
 def _accumulate_batch(
     result: RunResult, batch: BatchOutcome, line_bits: int
 ) -> None:
     """Fold a whole chunk's outcomes into the aggregates at once.
 
-    Every count a :func:`_accumulate` loop would produce, computed as array
-    sums and one ``bincount`` for the slot histogram — bit-identical to
-    folding the chunk's writes one at a time.
+    Every count, computed as array sums and one ``bincount`` for the slot
+    histogram — bit-identical to folding the chunk's writes one at a time
+    with :func:`~repro.memory.pcm.slots_for_write`.
     """
     data = int(batch.data_flips.sum())
     meta = int(batch.meta_flips.sum())
@@ -203,12 +181,12 @@ class _PhaseTracker:
     """Fires :meth:`RunResult.record_phase` at exact phase boundaries.
 
     Built from the trace's ``phases`` declaration; each phase's end is the
-    next phase's start (the last ends at ``n_records``).  Loops call
-    :meth:`note` with the count of writes folded in so far; because the
-    chunked loop also cuts chunks at :attr:`next_end`, ``note`` always
-    sees the boundary index exactly and the cumulative snapshot is
-    bit-identical across all three write loops.  On resume, phases the
-    checkpoint already recorded are not re-recorded.
+    next phase's start (the last ends at ``n_records``).  The write loop
+    calls :meth:`note` with the count of writes folded in so far; because
+    it also cuts chunks at :attr:`next_end`, ``note`` always sees the
+    boundary index exactly and the cumulative snapshot is the same at any
+    chunk size.  On resume, phases the checkpoint already recorded are not
+    re-recorded.
     """
 
     def __init__(
@@ -267,8 +245,8 @@ def run(
         line size); omitted, the cached generator is used.
     instruments:
         Optional observability bundle (metrics, tracing, sampling,
-        heartbeats).  ``None`` (or a fully-null bundle) takes the
-        uninstrumented fast path; results are identical either way.
+        heartbeats).  ``None`` (or a fully-null bundle) times and records
+        nothing; results are identical either way.
     checkpoint_dir / checkpoint_every:
         When ``checkpoint_every > 0``, snapshot all mutable state into
         ``checkpoint_dir`` every that many writes (crash-safe; see
@@ -322,34 +300,34 @@ def run(
         # (cache hits included).
         scheme.pads = InstrumentedPadSource(scheme.pads, obs.metrics, tracer)
 
-    # The chunked loop replicates every observable the instrumented loop
-    # records except per-write trace spans, so it runs whenever the scheme
-    # can batch and nobody asked for write-granular spans.  Decided before
-    # install: the chunked path also installs the working set through one
-    # batched pad call, while ``chunk_size=1`` keeps the per-write
-    # reference behaviour end to end.
-    use_chunked = (
-        config.chunk_size > 1
-        and scheme.supports_write_batch
-        and not (tracer.enabled and obs.per_write_spans)
-    )
-    addresses = trace.addresses()
+    if config.chunk_size == 1:
+        # The write() reference path: the base-class batch methods run
+        # one install() per line and one write() per write.
+        install_batch = partial(WriteScheme.install_batch, scheme)
+        write_batch = partial(WriteScheme.write_batch, scheme)
+    else:
+        install_batch, write_batch = scheme.install_batch, scheme.write_batch
+    # Pad fetches run inside install and scheme.write.  The pad timer's
+    # readings around install move their time into a phase of its own, so
+    # the profile's phases stay disjoint.
+    pad_timer = obs.metrics.timer("pad.fetch_s")
+    pad_t0, pad_n0 = pad_timer.total, pad_timer.count
+    addresses, init_data = trace.initial_arrays()
     ti0 = time.perf_counter() if profile is not None else 0.0
     if checkpoint is None:
         with tracer.span("install", lines=len(addresses)):
-            if use_chunked:
-                init_addresses, init_data = trace.initial_arrays()
-                scheme.install_batch(init_addresses, init_data)
-            else:
-                for addr in addresses:
-                    scheme.install(addr, trace.initial[addr])
+            install_batch(addresses, init_data)
         if profile is not None:
-            profile.add("install", time.perf_counter() - ti0)
+            profile.add(
+                "install",
+                time.perf_counter() - ti0 - (pad_timer.total - pad_t0),
+            )
     else:
         with tracer.span("resume.load", write_index=checkpoint.write_index):
             scheme.load_state_dict(checkpoint.scheme_state)
         if profile is not None:
             profile.add("resume.load", time.perf_counter() - ti0)
+    pad_t1 = pad_timer.total
 
     meta_bits = scheme.metadata_bits_per_line
     pcm = PcmArray(
@@ -368,12 +346,6 @@ def run(
     vwl = getattr(leveler, "startgap", None) or getattr(
         leveler, "refresh", None
     )
-    # The chunked loop never consults the line index without a wear
-    # leveler, so skip building it for that combination.
-    if use_chunked and isinstance(leveler, NoWearLeveler):
-        line_index: dict[int, int] = {}
-    else:
-        line_index = {addr: i % region for i, addr in enumerate(addresses)}
 
     result = RunResult(
         workload=config.workload,
@@ -407,23 +379,11 @@ def run(
     tracker = (
         _PhaseTracker(trace, result, start=start) if trace.phases else None
     )
-    if use_chunked:
-        _write_loop_chunked(
-            config, trace, scheme, pcm, leveler, vwl, line_index, result, obs,
-            pad_cache, start=start, checkpointer=checkpointer,
-            tracker=tracker,
-        )
-    elif obs.enabled:
-        _write_loop_instrumented(
-            config, trace, scheme, pcm, leveler, vwl, line_index, result, obs,
-            pad_cache, start=start, checkpointer=checkpointer,
-            tracker=tracker,
-        )
-    else:
-        _write_loop(
-            config, trace, scheme, pcm, leveler, vwl, line_index, result,
-            start=start, checkpointer=checkpointer, tracker=tracker,
-        )
+    _write_loop(
+        config, trace, write_batch, pcm, leveler, vwl, addresses, region,
+        result, obs, pad_cache, start=start, checkpointer=checkpointer,
+        tracker=tracker,
+    )
 
     result.wear = pcm.summary()
     result.lifetime = lifetime_report(
@@ -437,59 +397,16 @@ def run(
     result.wall_time_s = time.perf_counter() - t_start
     result.config = config
     if profile is not None:
-        # Pad precompute happens inside write_batch; the instrumented pad
-        # wrapper already timed it, so attribute it from the metrics timer
-        # rather than re-stamping the hot path.
-        pad_timer = obs.metrics.timer("pad.fetch_s")
-        if pad_timer.count:
-            profile.add("pad.fetch", pad_timer.total, pad_timer.count)
+        if pad_timer.count > pad_n0:
+            # install already left out its share of the pad time.
+            if pad_timer.total > pad_t1:
+                profile.add("scheme.write", pad_t1 - pad_timer.total, 0)
+            profile.add(
+                "pad.fetch", pad_timer.total - pad_t0,
+                pad_timer.count - pad_n0,
+            )
         result.profile = profile.to_dict()
     return result
-
-
-def _write_loop(
-    config: SimConfig,
-    trace: Trace,
-    scheme: WriteScheme,
-    pcm: PcmArray,
-    leveler,
-    vwl,
-    line_index: dict[int, int],
-    result: RunResult,
-    start: int = 0,
-    checkpointer: RunCheckpointer | None = None,
-    tracker: "_PhaseTracker | None" = None,
-) -> None:
-    """The uninstrumented hot loop — nothing here but the simulation.
-
-    ``start`` skips already-applied writes on resume.  With a checkpointer
-    or phase tracker the loop pays one counter and one call per write;
-    without either the original zero-overhead body runs.
-    """
-    line_bits = 8 * config.line_bytes
-    records = trace.records if not start else trace.records[start:]
-    if checkpointer is None and tracker is None:
-        for record in records:
-            outcome = scheme.write(record.address, record.data)
-            rotation = leveler.rotation(line_index[record.address])
-            pcm.apply_write(outcome, rotation=rotation)
-            if vwl is not None:
-                vwl.on_write()
-            _accumulate(result, outcome, line_bits)
-        return
-    i = start
-    for record in records:
-        outcome = scheme.write(record.address, record.data)
-        rotation = leveler.rotation(line_index[record.address])
-        pcm.apply_write(outcome, rotation=rotation)
-        if vwl is not None:
-            vwl.on_write()
-        _accumulate(result, outcome, line_bits)
-        i += 1
-        if tracker is not None:
-            tracker.note(i)
-        if checkpointer is not None:
-            checkpointer.maybe(i)
 
 
 def _next_multiple(i: int, every: int) -> int:
@@ -497,14 +414,15 @@ def _next_multiple(i: int, every: int) -> int:
     return (i // every + 1) * every
 
 
-def _write_loop_chunked(
+def _write_loop(
     config: SimConfig,
     trace: Trace,
-    scheme: WriteScheme,
+    write_batch,
     pcm: PcmArray,
     leveler,
     vwl,
-    line_index: dict[int, int],
+    line_addresses: np.ndarray,
+    region: int,
     result: RunResult,
     obs: Instruments,
     pad_cache: CachingPadSource | None,
@@ -512,11 +430,11 @@ def _write_loop_chunked(
     checkpointer: RunCheckpointer | None = None,
     tracker: "_PhaseTracker | None" = None,
 ) -> None:
-    """The batched write loop: whole trace chunks through ``write_batch``.
+    """The write loop: whole trace chunks through ``write_batch``.
 
     Chunks are cut so that every interval-triggered side effect — abort
     polls, checkpoint saves, interval samples, heartbeats, and wear-leveler
-    gap movements — lands exactly where the serial loops put it:
+    gap movements — lands exactly where a run of one-write chunks puts it:
 
     * sample/heartbeat/checkpoint intervals fire *after* the write at each
       multiple, so a chunk never crosses a multiple (it ends on one);
@@ -524,15 +442,17 @@ def _write_loop_chunked(
       never contains one (the poll runs at the top of the next chunk);
     * a Start-Gap/Security-Refresh event fires at most once per chunk, as
       its final write, keeping the HWL rotation constant across the chunk
-      (the serial loop computes each write's rotation before notifying the
-      leveler, so the triggering write itself still uses the old rotation).
+      (each write's rotation is computed before the leveler is notified,
+      so the triggering write itself still uses the old rotation).
+
+    The wear leveler knows a line by its rank in the sorted working set
+    ``line_addresses``, modulo the leveler's ``region``.
 
     Everything else (epoch resets, pad-cache traffic, flip accounting) is
-    handled inside ``write_batch`` bit-identically to the serial path.
-    Metrics use ``observe_many`` so timer/counter counts match the
-    per-write loop; when tracing is live, one span per chunk is emitted
-    under the serial span names (the loop is only selected with tracing on
-    when ``per_write_spans`` is off).
+    handled inside ``write_batch`` bit-identically to one ``write()`` per
+    write.  Timers use ``observe_many`` so their counts are per write;
+    when tracing is live, one span per chunk is emitted, its ``n`` field
+    the chunk's write count.
     """
     line_bits = 8 * config.line_bytes
     addresses_arr, data_arr = trace.write_arrays()
@@ -587,19 +507,20 @@ def _write_loop_chunked(
             end = min(end, i + vwl.writes_until_event)
         if tracker is not None and tracker.next_end is not None:
             # End chunks on phase boundaries so the cumulative snapshot
-            # lands exactly where the serial loops take it.
+            # lands exactly on the boundary write.
             end = min(end, tracker.next_end)
         k = end - i
 
         t0 = perf()
-        batch = scheme.write_batch(addresses_arr[i:end], data_arr[i:end])
+        batch = write_batch(addresses_arr[i:end], data_arr[i:end])
         t1 = perf()
         if no_rotation:
             rotations = None
         else:
             uniq, inv = np.unique(batch.addresses, return_inverse=True)
+            line_ids = np.searchsorted(line_addresses, uniq) % region
             per_line = np.fromiter(
-                (leveler.rotation(line_index[int(a)]) for a in uniq),
+                (leveler.rotation(line) for line in line_ids.tolist()),
                 dtype=np.int64,
                 count=uniq.size,
             )
@@ -675,126 +596,6 @@ def _write_loop_chunked(
             metrics.counter("pad.cache_misses").inc(pad_cache.misses)
         if sampler is not None:
             result.series = sampler.finalize(n_records)
-
-
-def _write_loop_instrumented(
-    config: SimConfig,
-    trace: Trace,
-    scheme: WriteScheme,
-    pcm: PcmArray,
-    leveler,
-    vwl,
-    line_index: dict[int, int],
-    result: RunResult,
-    obs: Instruments,
-    pad_cache: CachingPadSource | None,
-    start: int = 0,
-    checkpointer: RunCheckpointer | None = None,
-    tracker: "_PhaseTracker | None" = None,
-) -> None:
-    """The observed write loop: timers, spans, samples, heartbeats.
-
-    Instrumentation is read-only, so this loop produces the same
-    :class:`RunResult` aggregates as :func:`_write_loop` on the same inputs.
-    """
-    line_bits = 8 * config.line_bytes
-    metrics = obs.metrics
-    tracer = obs.tracer
-    tracing = tracer.enabled
-    perf = time.perf_counter
-
-    t_write = metrics.timer("scheme.write_s")
-    t_rotate = metrics.timer("wear.rotation_s")
-    t_pcm = metrics.timer("pcm.apply_s")
-
-    n_records = len(trace.records)
-    sampler = None
-    if obs.sample_interval > 0:
-        sampler = IntervalSampler(
-            obs.sample_interval, result, pcm, pad_cache
-        )
-        sample_every = obs.sample_interval
-    heartbeat = obs.heartbeat
-    if heartbeat is not None:
-        hb_every = obs.heartbeat_every or max(1, n_records // 10)
-    abort = obs.abort
-    if abort is not None:
-        abort_every = obs.abort_every or max(1, min(512, n_records // 10))
-
-    loop_t0 = perf()
-    i = start
-    records = trace.records if not start else trace.records[start:]
-    for record in records:
-        i += 1
-        if abort is not None and i % abort_every == 0 and abort():
-            raise RunAborted(
-                f"run aborted before write {i}/{n_records} "
-                f"({config.workload}/{config.scheme})",
-                writes_done=i - 1,
-            )
-        t0 = perf()
-        outcome = scheme.write(record.address, record.data)
-        t1 = perf()
-        rotation = leveler.rotation(line_index[record.address])
-        t2 = perf()
-        pcm.apply_write(outcome, rotation=rotation)
-        t3 = perf()
-        if vwl is not None:
-            vwl.on_write()
-        t_write.observe(t1 - t0)
-        t_rotate.observe(t2 - t1)
-        t_pcm.observe(t3 - t2)
-        if obs.profile is not None:
-            obs.profile.add("scheme.write", t1 - t0)
-            obs.profile.add("wear.rotation", t2 - t1)
-            obs.profile.add("pcm.apply", t3 - t2)
-        _accumulate(result, outcome, line_bits)
-        if tracker is not None:
-            tracker.note(i)
-        if checkpointer is not None:
-            checkpointer.maybe(i)
-        if tracing:
-            tracer.span_event(
-                "scheme.write",
-                t0,
-                t1 - t0,
-                write=i,
-                addr=record.address,
-                flips=outcome.total_flips,
-                mode=outcome.mode,
-            )
-            tracer.span_event("wear.rotation", t1, t2 - t1, write=i)
-            tracer.span_event(
-                "pcm.apply", t2, t3 - t2, write=i, rotation=rotation
-            )
-            if outcome.epoch_reset:
-                tracer.event(
-                    "epoch.reset", write=i, addr=record.address
-                )
-            if outcome.mode_switched:
-                tracer.event(
-                    "mode.switch",
-                    write=i,
-                    addr=record.address,
-                    mode=outcome.mode,
-                )
-        if sampler is not None and i % sample_every == 0:
-            sampler.record(i)
-        if heartbeat is not None and i % hb_every == 0:
-            heartbeat(i, n_records)
-
-    metrics.gauge("run.write_loop_s").set(perf() - loop_t0)
-    metrics.counter("run.writes").inc(result.n_writes)
-    metrics.counter("run.flips").inc(result.total_flips)
-    metrics.counter("run.slots").inc(result.total_slots)
-    metrics.counter("run.epoch_resets").inc(result.epoch_resets)
-    metrics.counter("run.mode_switches").inc(result.mode_switches)
-    metrics.counter("run.full_reencryptions").inc(result.full_reencryptions)
-    if pad_cache is not None:
-        metrics.counter("pad.cache_hits").inc(pad_cache.hits)
-        metrics.counter("pad.cache_misses").inc(pad_cache.misses)
-    if sampler is not None:
-        result.series = sampler.finalize(n_records)
 
 
 def run_suite(

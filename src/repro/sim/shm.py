@@ -211,7 +211,7 @@ def attach_trace(spec: TraceShmSpec) -> Trace:
 
     The returned trace's arrays are read-only views straight into the
     shared mapping; ``records`` stays lazy, so nothing is copied unless
-    the serial per-write loop iterates it.
+    a caller iterates it.
     """
     shm = _attach_segment(spec.name)
     buf = shm.buf

@@ -26,8 +26,8 @@ class _LazyRecords(Sequence):
     Shared-memory traces attach to another process's buffers; materializing
     ``n_writes`` :class:`WriteRecord` objects up front would copy everything
     the shared mapping exists to avoid.  This view constructs records only
-    when the serial loop actually asks for them; the chunked loop reads the
-    arrays directly and never touches it.
+    when a caller actually asks for them; the runner reads the arrays
+    directly and never touches it.
     """
 
     def __init__(self, addresses: np.ndarray, data: np.ndarray) -> None:
@@ -148,8 +148,9 @@ class Trace:
 
         Used by the shared-memory sweep path: the arrays may live in a
         ``multiprocessing.shared_memory`` buffer owned by another process.
-        ``records`` stays lazy, so nothing is materialized unless the
-        serial loop iterates it.
+        ``init_addresses`` must be in address order, as
+        :meth:`initial_arrays` returns them.  ``records`` stays lazy, so nothing is materialized unless a
+        caller iterates it.
         """
         initial = {
             int(init_addresses[i]): init_data[i].tobytes()

@@ -1,11 +1,13 @@
-"""Chunked write path == serial write path, bit for bit.
+"""Any chunk size == the ``write()`` reference, bit for bit.
 
-The chunked loop (``chunk_size > 1``) batches writes through
-``scheme.write_batch`` with precomputed pad streams and scatter-add
-accumulation; ``chunk_size=1`` is the per-write reference loop.  These
-tests pin the documented equality contract: every aggregate, the sampled
-series, the wear profile, and checkpoint/resume continuations are
-bit-identical at any chunk size.
+The write loop hands chunks of the trace to ``scheme.write_batch``: a
+native kernel for schemes that have one, the inherited loop over
+``write()`` for the rest.  ``chunk_size=1`` runs every scheme through the
+base-class ``install_batch``/``write_batch`` (one ``install()`` per line,
+one ``write()`` per write), which makes it the reference.  These tests
+pin the documented equality contract for every registered scheme: every
+aggregate, the sampled series, the wear profile, and checkpoint/resume
+continuations are bit-identical at any chunk size.
 """
 
 from __future__ import annotations
@@ -15,13 +17,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import Session
 from repro.obs.instruments import Instruments
-from repro.sim.config import SimConfig
+from repro.registry import SCHEMES
+from repro.service.jobs import JobError, JobSpec
+from repro.sim.config import ConfigError, SimConfig
 from repro.sim.runner import run
 
-#: Every scheme with a batch implementation (the chunked path engages for
-#: these; anything else silently falls back to the serial loop).
-BATCH_SCHEMES = ("deuce", "encr-dcw", "noencr-dcw")
+ALL_SCHEMES = SCHEMES.names
 
 BASE = dict(workload="mcf", n_writes=800, seed=0)
 
@@ -50,12 +53,14 @@ def run_pair(**overrides):
 
 
 class TestChunkedMatchesSerial:
-    @pytest.mark.parametrize("scheme", BATCH_SCHEMES)
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_aggregates_identical(self, scheme):
         serial, chunked = run_pair(scheme=scheme)
         assert comparable(serial) == comparable(chunked)
+        default = run(SimConfig(**BASE, scheme=scheme))
+        assert comparable(serial) == comparable(default)
 
-    @pytest.mark.parametrize("scheme", BATCH_SCHEMES)
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_wear_profile_identical(self, scheme):
         serial, chunked = run_pair(scheme=scheme)
         assert np.array_equal(
@@ -73,10 +78,11 @@ class TestChunkedMatchesSerial:
     def test_wear_leveling_cuts_chunks(self):
         # Start-Gap rotations are interval side effects: chunks must end
         # exactly at rotation boundaries to stay bit-identical.
-        serial, chunked = run_pair(
-            scheme="deuce", wear_leveling="hwl", gap_write_interval=37
-        )
-        assert comparable(serial) == comparable(chunked)
+        for scheme in ALL_SCHEMES:
+            serial, chunked = run_pair(
+                scheme=scheme, wear_leveling="hwl", gap_write_interval=37
+            )
+            assert comparable(serial) == comparable(chunked), scheme
 
     def test_per_line_wear_tracking(self):
         serial, chunked = run_pair(
@@ -86,17 +92,18 @@ class TestChunkedMatchesSerial:
         assert serial.wear.max_line_bit_writes == chunked.wear.max_line_bit_writes
 
     def test_sampled_series_identical(self):
-        cfg = dict(BASE, scheme="deuce")
-        serial = run(
-            SimConfig(**cfg, chunk_size=1),
-            instruments=Instruments(sample_interval=100),
-        )
-        chunked = run(
-            SimConfig(**cfg, chunk_size=64),
-            instruments=Instruments(sample_interval=100),
-        )
-        assert serial.series is not None and chunked.series is not None
-        assert serial.series.as_rows() == chunked.series.as_rows()
+        for scheme in ALL_SCHEMES:
+            cfg = dict(BASE, scheme=scheme)
+            serial = run(
+                SimConfig(**cfg, chunk_size=1),
+                instruments=Instruments(sample_interval=100),
+            )
+            chunked = run(
+                SimConfig(**cfg, chunk_size=64),
+                instruments=Instruments(sample_interval=100),
+            )
+            assert serial.series is not None and chunked.series is not None
+            assert serial.series.as_rows() == chunked.series.as_rows(), scheme
 
     def test_pad_cache_stats_identical(self):
         # Hit/miss accounting must not change under batched pad fetches
@@ -104,6 +111,22 @@ class TestChunkedMatchesSerial:
         serial, chunked = run_pair(scheme="deuce", pad_cache_lines=64)
         assert serial.pad_hits == chunked.pad_hits
         assert serial.pad_misses == chunked.pad_misses
+
+    def test_chunk_size_one_runs_the_write_reference(self, monkeypatch):
+        # chunk_size=1 must reach the base-class loops over install() and
+        # write(), never a native kernel.
+        cls = SCHEMES.get("deuce").factory
+        assert cls.supports_write_batch
+
+        def native(*_args):
+            raise AssertionError("native kernel used at chunk_size=1")
+
+        monkeypatch.setattr(cls, "write_batch", native)
+        monkeypatch.setattr(cls, "install_batch", native)
+        result = run(SimConfig(**BASE, scheme="deuce", chunk_size=1))
+        assert result.n_writes == BASE["n_writes"]
+        with pytest.raises(AssertionError, match="native kernel"):
+            run(SimConfig(**BASE, scheme="deuce", chunk_size=2))
 
 
 class TestChunkedProperties:
@@ -134,6 +157,18 @@ class TestChunkedProperties:
 
 
 class TestChunkedCheckpointResume:
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_resume_matches_reference_for_every_scheme(
+        self, tmp_path, scheme
+    ):
+        cfg = SimConfig(**BASE, scheme=scheme, chunk_size=64)
+        ckpt_dir = tmp_path / "ck"
+        full = run(cfg, checkpoint_dir=ckpt_dir, checkpoint_every=300)
+        resumed = run(resume_from=str(ckpt_dir))
+        reference = run(cfg.with_(chunk_size=1))
+        assert comparable(resumed) == comparable(full)
+        assert comparable(resumed) == comparable(reference)
+
     def _straight(self, chunk_size: int):
         return run(
             SimConfig(
@@ -176,3 +211,42 @@ class TestChunkedCheckpointResume:
         )
         resumed = run(resume_from=str(ckpt_dir))
         assert comparable(full) == comparable(resumed)
+
+
+class TestChunkSizeValidation:
+    """A chunk size below 1 is rejected with one message on every surface."""
+
+    MSG = "config key 'chunk_size' must be at least 1, got 0"
+    BAD = {"workload": "mcf", "scheme": "deuce", "n_writes": 100,
+           "chunk_size": 0}
+
+    @pytest.mark.parametrize("chunk_size", [0, -1, -512])
+    def test_config_rejects(self, chunk_size):
+        with pytest.raises(ConfigError, match="must be at least 1"):
+            SimConfig.from_dict(dict(self.BAD, chunk_size=chunk_size))
+        with pytest.raises(ConfigError, match="must be at least 1"):
+            SimConfig("mcf", "deuce", chunk_size=chunk_size)
+        with pytest.raises(ConfigError, match="must be at least 1"):
+            SimConfig("mcf", "deuce").with_(chunk_size=chunk_size)
+
+    def test_session_surface(self):
+        with pytest.raises(ConfigError) as err:
+            Session(ledger=False).run(dict(self.BAD))
+        assert self.MSG in str(err.value)
+
+    def test_v1_decode_surface(self):
+        with pytest.raises(JobError) as err:
+            JobSpec.decode(
+                {"kind": "run", "config": dict(self.BAD), "options": {}}
+            )
+        assert self.MSG in str(err.value)
+
+    def test_cli_surface(self, capsys):
+        from repro.cli import main
+
+        code = main(
+            ["run", "--workload", "mcf", "--scheme", "deuce", "--writes",
+             "100", "--chunk-size", "0", "--no-ledger"]
+        )
+        assert code == 2
+        assert self.MSG in capsys.readouterr().err

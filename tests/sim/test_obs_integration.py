@@ -7,7 +7,7 @@ These are the acceptance tests for the ``repro.obs`` subsystem:
 * the null backend stays within a small timing envelope of baseline;
 * the sampled time-series *reconciles*: summing every delta column over
   all samples reproduces the run's final aggregates;
-* the JSONL trace parses line-by-line and contains the pipeline's spans;
+* the JSONL trace parses line-by-line and carries one span per chunk;
 * parallel sweeps stream start/heartbeat/done events per cell without
   changing results.
 """
@@ -143,10 +143,11 @@ class TestTraceOutput:
     def test_jsonl_parses_with_expected_span_names(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         config = SimConfig(
-            "mcf", "deuce", n_writes=300, seed=7, epoch_interval=4
+            "mcf", "deuce", n_writes=300, seed=7, epoch_interval=4,
+            chunk_size=64,
         )
         with JsonlSink(path) as sink:
-            run(config, instruments=Instruments(tracer=Tracer(sink)))
+            result = run(config, instruments=Instruments(tracer=Tracer(sink)))
         records = [
             json.loads(line) for line in path.read_text().splitlines()
         ]
@@ -162,12 +163,17 @@ class TestTraceOutput:
             "pcm.apply",
             "pad.fetch",
         } <= names
-        # Epoch interval 4 over 300 writes of a hot trace must reset.
-        resets = [r for r in records if r["name"] == "epoch.reset"]
-        assert resets and all(r["type"] == "event" for r in resets)
+        # One span per chunk: five chunks of at most 64 writes, whose
+        # ``n`` fields add up to the whole trace.
         writes = [r for r in records if r["name"] == "scheme.write"]
-        assert len(writes) == config.n_writes
+        assert len(writes) == 5
+        assert sum(r["n"] for r in writes) == config.n_writes
+        assert [r["write"] for r in writes] == [64, 128, 192, 256, 300]
+        assert sum(r["flips"] for r in writes) == result.total_flips
         assert all(r["dur"] >= 0.0 for r in writes)
+        for name in ("wear.rotation", "pcm.apply"):
+            spans = [r for r in records if r["name"] == name]
+            assert sum(r["n"] for r in spans) == config.n_writes
 
     def test_metrics_cover_the_pipeline(self):
         config = SimConfig("mcf", "deuce", n_writes=300, seed=7)

@@ -21,6 +21,7 @@ from repro.api import ObsOptions, Session
 from repro.obs.context import TraceContext
 from repro.obs.profile import PhaseProfile
 from repro.obs.traceexport import build_report, load_trace, to_chrome_trace
+from repro.registry import SCHEMES
 from repro.sim.config import SimConfig
 from repro.sim.runner import run
 
@@ -201,8 +202,7 @@ class TestServiceJobTrace:
         by_name = {ln.name: ln for ln in lanes}
         assert {"job", "run"} <= set(by_name)
         assert by_name["run"].parent_id == by_name["job"].span_id
-        # Chunk-level spans, not one span per write: traced service runs
-        # must keep the chunked fast path.
+        # Chunk-level spans, not one span per write.
         writes = [
             r
             for r in by_name["run"].records
@@ -274,6 +274,36 @@ class TestWritePathProfiler:
         shares = [entry["share"] for entry in phases.values()]
         assert 0.99 <= sum(shares) <= 1.01
 
+    @pytest.mark.parametrize("scheme", SCHEMES.names)
+    def test_profile_phases_are_disjoint(self, scheme):
+        """The phases never overlap and cover nearly all of the run.
+
+        ``pad.fetch`` runs inside ``install`` and ``scheme.write``; the
+        runner subtracts it from both, so the phase seconds can never add
+        up to more than the wall time.  The lower bound takes the best of
+        three runs so one scheduler hiccup outside the phases cannot fail
+        it.
+        """
+        from repro.obs.instruments import Instruments
+        from repro.obs.metrics import MetricsRegistry
+
+        config = SimConfig("mcf", scheme, n_writes=4_000)
+        run(config)  # warm the trace cache
+        fractions = []
+        for _ in range(3):
+            result = run(
+                config,
+                instruments=Instruments(
+                    metrics=MetricsRegistry(), profile=PhaseProfile()
+                ),
+            )
+            seconds = sum(p["seconds"] for p in result.profile.values())
+            assert seconds <= result.wall_time_s
+            fractions.append(seconds / result.wall_time_s)
+        if SCHEMES.get(scheme).factory.requires_pads:
+            assert result.profile["pad.fetch"]["seconds"] > 0.0
+        assert max(fractions) >= 0.9, fractions
+
     def test_profiler_overhead_is_negligible(self):
         """Profiled runtime must stay close to the uninstrumented runtime.
 
@@ -317,8 +347,7 @@ class TestWritePathProfiler:
 
     def test_obs_options_profile_rides_into_run_jobs(self, tmp_path):
         session = Session(ledger=tmp_path / "runs")
-        obs = ObsOptions(trace_out=str(tmp_path / "run.jsonl"),
-                         per_write_spans=False)
+        obs = ObsOptions(trace_out=str(tmp_path / "run.jsonl"))
         result = session.run(
             SimConfig("mcf", "deuce", n_writes=N_WRITES), obs=obs
         )
